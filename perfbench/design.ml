@@ -81,7 +81,7 @@ let all =
       name = "catalog";
       specs = catalog_specs;
       size = catalog_size catalog_specs;
-      requests = Batch { size = 400; theta = 0.99; placement = Random };
+      requests = Batch { size = 100; theta = 0.99; placement = Random };
     };
     {
       name = "bulk";
@@ -94,7 +94,7 @@ let all =
       specs = catalog_specs;
       size = catalog_size catalog_specs;
       requests =
-        Trace { rate = 0.06; horizon = 7_020; model = burst; sample_every = 8 };
+        Trace { rate = 0.06; horizon = 7_020; model = burst; sample_every = 4 };
     };
   ]
 

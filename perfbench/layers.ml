@@ -38,13 +38,14 @@ let median_s reps f =
    [Program.files]. *)
 let probe_calls = 3
 
-let run (env : P.env) setups (acc : P.acc) ~seed ~seconds =
+let run (env : P.env) (acc : P.acc) ~seed ~seconds =
   let t_start = P.now () in
   let { P.w; r; spec; content; _ } = env in
   (* The rounds of an end-to-end run, each followed by a probe of the
      O(period) calls, so that the probes see the same stretch of host
      speed as the retrievals they are compared with. *)
   let data_cycle_s = ref 0.0 and files_s = ref 0.0 and rounds_s = ref 0.0 in
+  let setups_s = ref 0.0 in
   let first = ref None and index = ref 0 in
   while !index = 0 || P.now () -. t_start < seconds do
     let round, dt = P.timed (fun () -> P.run_round env acc ~seed ~index:!index) in
@@ -55,8 +56,14 @@ let run (env : P.env) setups (acc : P.acc) ~seed ~seconds =
     Gc.full_major ();
     data_cycle_s := !data_cycle_s +. probe Program.data_cycle;
     files_s := !files_s +. probe Program.files;
+    (* set-ups between rounds, as in an end-to-end run, kept out of
+       [trace.overhead] *)
+    let elapsed = P.now () -. t_start in
+    setups_s := !setups_s +. snd (P.timed (fun () -> P.more_setups env acc ~elapsed ~seconds));
     incr index
   done;
+  setups_s :=
+    !setups_s +. snd (P.timed (fun () -> P.more_setups env acc ~elapsed:infinity ~seconds));
   let first = Option.get !first in
   let calls = float_of_int (probe_calls * !index) in
   let data_cycle_s = !data_cycle_s /. calls and files_s = !files_s /. calls in
@@ -170,15 +177,18 @@ let run (env : P.env) setups (acc : P.acc) ~seed ~seconds =
     first.P.retrieved;
   (* attribution of the run's real-byte retrievals *)
   let n = float_of_int nret in
+  (* Only a batch's retrievals take the default budget, which calls
+     [Program.data_cycle]; a trace's pass the budget themselves. *)
+  let data_cycle_calls = match w.requests with Design.Batch _ -> n | Design.Trace _ -> 0.0 in
   let slots = float_of_int acc.slots in
   let layer_sum =
-    (n *. data_cycle_s) +. (slots *. (on_air_ns +. fault_ns) *. 1e-9) +. (n *. reconstruct_s /. nfirst)
+    (data_cycle_calls *. data_cycle_s) +. (slots *. (on_air_ns +. fault_ns) *. 1e-9) +. (n *. reconstruct_s /. nfirst)
   in
   if not (!verified && !decoded_ok && engine_ok) then acc.failed <- acc.failed + 1;
-  let total_s = P.now () -. t_start in
+  let total_s = P.now () -. t_start -. !setups_s in
   let ms s = s *. 1e3 in
   [
-    ("core.auto_s", P.median (List.map (fun t -> t.P.auto) setups), "s");
+    ("core.auto_s", P.median (List.map (fun t -> t.P.auto) acc.setups), "s");
     ("core.bandwidths_tried", float_of_int (r.bandwidth - demand + 1), "count");
     ("core.data_cycle_ms", ms data_cycle_s, "ms");
     ("core.files_ms", ms files_s, "ms");
@@ -194,7 +204,7 @@ let run (env : P.env) setups (acc : P.acc) ~seed ~seconds =
     ("ida.encode_passes", float_of_int acc.encode_passes /. n, "count");
     ("ida.parity_share", float_of_int parity /. nfirst, "ratio");
     ("ida.inverse_hit_ratio", float_of_int hits /. float_of_int (max 1 (hits + misses)), "ratio");
-    ("sim.create_ms", ms (P.median (List.map (fun t -> t.P.create) setups)), "ms");
+    ("sim.create_ms", ms (P.median (List.map (fun t -> t.P.create) acc.setups)), "ms");
     ("sim.on_air_ns", on_air_ns, "ns");
     ("sim.on_air_words", on_air_words, "words");
     ("sim.fault_ns", fault_ns, "ns");
@@ -206,6 +216,6 @@ let run (env : P.env) setups (acc : P.acc) ~seed ~seconds =
     ("sim.engine_run_s", engine_s, "s");
     ("obs.metrics_on_ratio", !on /. !off, "ratio");
     ("trace.coverage", layer_sum /. acc.ret_s, "ratio");
-    ("trace.data_cycle_share", n *. data_cycle_s /. acc.ret_s, "ratio");
+    ("trace.data_cycle_share", data_cycle_calls *. data_cycle_s /. acc.ret_s, "ratio");
     ("trace.overhead", total_s /. !rounds_s, "ratio");
   ]

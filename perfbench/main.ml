@@ -67,21 +67,45 @@ let parse argv =
    in every run on this sizing (each run takes well over 1,000). *)
 let tail = 99.0
 
+(* The rounds the speed metrics are taken over: the fastest tenth by
+   [rate], at least one. Every round of a run does the same kind of
+   work, while other tenants of the shared host slow it by up to half in
+   phases of a few seconds; the fastest rounds measure the program, and
+   the mix of fast and slow phases, which differs from run to run, drops
+   out. The tail is taken over every round: it is what a client of a
+   loaded host sees. *)
+let fastest rate (log : P.round_stat list) =
+  let sorted = List.sort (fun a b -> Float.compare (rate b) (rate a)) log in
+  List.filteri (fun i _ -> i < max 1 ((List.length log + 9) / 10)) sorted
+
+let sum f rounds = List.fold_left (fun s r -> s +. f r) 0.0 rounds
+
+let latencies rounds =
+  let s = Stats.create () in
+  List.iter (fun (r : P.round_stat) -> Array.iter (Stats.add s) r.lat_ms) rounds;
+  s
+
 let heap_peak_mb () =
   float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
 
-let end_to_end (env : P.env) setups (acc : P.acc) =
+let end_to_end (env : P.env) (acc : P.acc) =
+  let ret = fastest (fun (r : P.round_stat) -> float_of_int r.ok /. r.busy_s) acc.log in
+  let busy = sum (fun (r : P.round_stat) -> r.busy_s) ret in
+  let sim = fastest (fun (r : P.round_stat) -> float_of_int r.clients /. r.cohort_s) acc.log in
   [
-    ("setup_s", P.median (List.map P.setup_seconds setups), "s");
-    ("retrievals_per_s", Stats.median acc.round_rates, "1/s");
-    ("payload_mb_per_s", Stats.median acc.round_mb, "MB/s");
-    ("retrieval_ms_p50", Stats.median acc.ret_ms, "ms");
-    ("retrieval_ms_tail", Stats.percentile acc.ret_ms tail, "ms");
+    ("setup_s", P.median (List.map P.setup_seconds acc.setups), "s");
+    ("retrievals_per_s", sum (fun r -> float_of_int r.P.ok) ret /. busy, "1/s");
+    ("payload_mb_per_s", sum (fun r -> float_of_int r.P.bytes) ret /. busy /. 1e6, "MB/s");
+    ("retrieval_ms_p50", Stats.median (latencies ret), "ms");
+    ("retrieval_ms_tail", Stats.percentile (latencies acc.log) tail, "ms");
     ("wait_slots_p50", Stats.median acc.waits, "slots");
     ("wait_slots_tail", Stats.percentile acc.waits tail, "slots");
     ("bandwidth_blocks_per_s", float_of_int env.r.bandwidth, "blocks/s");
     ("heap_peak_mb", heap_peak_mb (), "MB");
-    ("clients_per_s", Stats.median acc.round_clients, "1/s");
+    ( "clients_per_s",
+      sum (fun r -> float_of_int r.P.clients) sim
+      /. sum (fun (r : P.round_stat) -> r.cohort_s) sim,
+      "1/s" );
   ]
 
 let json ~correct ~attempted ~failed metrics =
@@ -94,17 +118,17 @@ let json ~correct ~attempted ~failed metrics =
 
 let () =
   let a = parse Sys.argv in
-  let env, setups, checks_hold, slack = P.prepare a.workload ~seed:a.seed a.inject in
-  let acc = P.acc () in
+  let env, first_setup, checks_hold, slack = P.prepare a.workload ~seed:a.seed a.inject in
+  let acc = P.acc first_setup in
   let metrics =
-    if a.trace then Layers.run env setups acc ~seed:a.seed ~seconds:a.seconds
+    if a.trace then Layers.run env acc ~seed:a.seed ~seconds:a.seconds
     else begin
       P.run_rounds env acc ~seed:a.seed ~seconds:a.seconds;
-      end_to_end env setups acc
+      end_to_end env acc
     end
   in
   let finite = List.for_all (fun (_, v, _) -> Float.is_finite v) metrics in
-  let correct = checks_hold && finite in
+  let correct = checks_hold && acc.setups_agree && finite in
   Printf.printf "workload %s seed %d: %d rounds, %d operations, %d failed\n"
     a.workload.Design.name a.seed acc.rounds acc.attempted acc.failed;
   Printf.printf "bandwidth %d blocks/s, period %d slots, least window slack %d\n"

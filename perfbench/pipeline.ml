@@ -83,32 +83,23 @@ let build (w : Design.t) contents =
   in
   (bandwidth, program, transport, auto, create)
 
-(* Set-up is timed several times and reported as the median: one
-   set-up of the catalog ranged over ±12% between runs. Each repetition
-   starts from a fully collected heap. A [Trace] workload's set-up also
-   covers the plan and [Drive.prepare]; the others build those once,
+(* One set-up from a fully collected heap. A [Trace] workload's set-up
+   also covers the plan and [Drive.prepare]; the others build those once,
    untimed, for their [Cohort.run] cross-check. *)
-let setup_reps = 7
+let setup_once (w : Design.t) contents =
+  Gc.full_major ();
+  let bandwidth, program, transport, auto, create = build w contents in
+  let pp =
+    match w.requests with
+    | Design.Trace _ -> Some (plan_and_prep w bandwidth)
+    | Design.Batch _ -> None
+  in
+  let plan_t, prepare = match pp with Some (_, _, a, b) -> (a, b) | None -> (0.0, 0.0) in
+  ({ auto; create; plan_t; prepare }, (bandwidth, program, transport, pp))
 
+(* The first set-up, which builds the program the run uses. *)
 let setup (w : Design.t) contents =
-  let population =
-    match w.requests with Design.Trace _ -> true | Design.Batch _ -> false
-  in
-  let rec reps acc n =
-    Gc.full_major ();
-    let bandwidth, program, transport, auto, create = build w contents in
-    let pp = if population then Some (plan_and_prep w bandwidth) else None in
-    let plan_t, prepare =
-      match pp with Some (_, _, a, b) -> (a, b) | None -> (0.0, 0.0)
-    in
-    let t = { auto; create; plan_t; prepare } in
-    let acc = (t, (bandwidth, Program.period program)) :: acc in
-    if n + 1 = setup_reps then (acc, (bandwidth, program, transport, pp))
-    else reps acc (n + 1)
-  in
-  let runs, (bandwidth, program, transport, pp) = reps [] 0 in
-  let shapes = List.map snd runs in
-  let consistent = List.for_all (fun s -> s = List.hd shapes) shapes in
+  let t, (bandwidth, program, transport, pp) = setup_once w contents in
   let plan, prep, _, _ =
     match pp with Some pp -> pp | None -> plan_and_prep w bandwidth
   in
@@ -122,7 +113,7 @@ let setup (w : Design.t) contents =
       data_cycle = Program.data_cycle program;
     }
   in
-  (ready, List.rev_map fst runs, consistent)
+  (ready, t)
 
 let setup_seconds (t : setup_times) = t.auto +. t.create +. t.plan_t +. t.prepare
 
@@ -325,6 +316,16 @@ let window_coverage r spec =
 (* Rounds                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One round's timed work. *)
+type round_stat = {
+  lat_ms : float array;  (** wall time of each real-byte retrieval *)
+  ok : int;  (** retrievals that passed their checks *)
+  bytes : int;  (** their payload bytes *)
+  busy_s : float;  (** summed wall time of the round's retrievals *)
+  clients : int;  (** requests [Cohort.run] simulated *)
+  cohort_s : float;  (** its wall time *)
+}
+
 type acc = {
   ret_ms : Stats.t;  (** wall time of each real-byte retrieval *)
   waits : Stats.t;  (** slots from tune-in to completion, per client *)
@@ -337,12 +338,12 @@ type acc = {
   mutable attempted : int;
   mutable failed : int;
   mutable rounds : int;
-  round_rates : Stats.t;  (** real-byte retrievals per second, per round *)
-  round_mb : Stats.t;  (** payload MB per second, per round *)
-  round_clients : Stats.t;  (** [Cohort.run] requests per second, per round *)
+  mutable log : round_stat list;  (** every round, latest first *)
+  mutable setups : setup_times list;
+  mutable setups_agree : bool;  (** every set-up found the same program *)
 }
 
-let acc () =
+let acc first_setup =
   {
     ret_ms = Stats.create ();
     waits = Stats.create ();
@@ -355,9 +356,9 @@ let acc () =
     attempted = 0;
     failed = 0;
     rounds = 0;
-    round_rates = Stats.create ();
-    round_mb = Stats.create ();
-    round_clients = Stats.create ();
+    log = [];
+    setups = [ first_setup ];
+    setups_agree = true;
   }
 
 (* What a round ran, kept so the traced run can replay it layer by
@@ -480,6 +481,7 @@ let run_round env acc ~seed ~index =
   let sample_failed = Array.make (Array.length retrieved) false in
   Gc.full_major ();
   let ret_s0 = acc.ret_s and ok0 = acc.ret_ok and bytes0 = acc.bytes_ok in
+  let lat_ms = Array.make (Array.length retrieved) 0.0 in
   (* Real-byte retrievals, each timed alone. *)
   Array.iteri
     (fun i k ->
@@ -493,7 +495,17 @@ let run_round env acc ~seed ~index =
       let fault, last = observed inner q in
       let passes = Pindisk_ida.Ida.encode_passes () in
       let t0 = now () in
-      let res = Transport.retrieve_result r.transport ~file:q.file ~start:q.start ~fault () in
+      (* A batch's client takes the default budget, as most callers do;
+         it costs one O(period) [Program.data_cycle] scan per call. A
+         trace's client passes the same budget, [100 × data_cycle], itself,
+         so that population measures the slot path and not that scan. *)
+      let res =
+        match burst with
+        | None -> Transport.retrieve_result r.transport ~file:q.file ~start:q.start ~fault ()
+        | Some _ ->
+            Transport.retrieve_result r.transport ~max_slots ~file:q.file ~start:q.start
+              ~fault ()
+      in
       let dt = now () -. t0 in
       acc.encode_passes <- acc.encode_passes + Pindisk_ida.Ida.encode_passes () - passes;
       let wait = !last - q.start + 1 in
@@ -514,6 +526,7 @@ let run_round env acc ~seed ~index =
         | Error (Transport.Timeout _), None -> true
         | _ -> false
       in
+      lat_ms.(i) <- dt *. 1e3;
       Stats.add acc.ret_ms (dt *. 1e3);
       acc.ret_s <- acc.ret_s +. dt;
       acc.slots <- acc.slots + wait;
@@ -535,10 +548,16 @@ let run_round env acc ~seed ~index =
       { result with Engine.completed = result.Engine.completed + 1 }
     else result
   in
-  let round_s = acc.ret_s -. ret_s0 in
-  Stats.add acc.round_rates (float_of_int (acc.ret_ok - ok0) /. round_s);
-  Stats.add acc.round_mb (float_of_int (acc.bytes_ok - bytes0) /. round_s /. 1e6);
-  Stats.add acc.round_clients (float_of_int n /. dt);
+  acc.log <-
+    {
+      lat_ms;
+      ok = acc.ret_ok - ok0;
+      bytes = acc.bytes_ok - bytes0;
+      busy_s = acc.ret_s -. ret_s0;
+      clients = n;
+      cohort_s = dt;
+    }
+    :: acc.log;
   acc.cohort_s <- acc.cohort_s +. dt;
   if burst <> None then Stats.absorb acc.waits result.Engine.latency;
   if not (agrees result requests spec r) then Array.fill failed 0 n true;
@@ -556,19 +575,40 @@ let run_round env acc ~seed ~index =
   acc.rounds <- acc.rounds + 1;
   { trace; requests; retrieved; fault; cohort_seed; result }
 
+(* Set-up is timed [setup_reps] times and reported as the median: one
+   set-up of the catalog ranged over ±12% between repetitions, and the
+   host's speed moves by up to half over seconds. The first set-up
+   builds the program the run uses; the others run between rounds, the
+   [k]-th once [k/setup_reps] of the run has passed, so that they sample
+   the whole run. Each must find the same bandwidth and period. *)
+let setup_reps = 7
+
+let more_setups env acc ~elapsed ~seconds =
+  while
+    List.length acc.setups < setup_reps
+    && elapsed >= float_of_int (List.length acc.setups) *. seconds /. float_of_int setup_reps
+  do
+    let t, (bandwidth, program, _, _) = setup_once env.w env.content in
+    acc.setups <- t :: acc.setups;
+    if bandwidth <> env.r.bandwidth || Program.period program <> Program.period env.r.program
+    then acc.setups_agree <- false
+  done
+
 (* Rounds are whole: the run stops at the first round boundary after
-   [seconds] of wall time. *)
+   [seconds] of wall time; set-ups still due run after it. *)
 let run_rounds env acc ~seed ~seconds =
   let t0 = now () in
   let index = ref 0 in
   while !index = 0 || now () -. t0 < seconds do
     ignore (run_round env acc ~seed ~index:!index);
+    more_setups env acc ~elapsed:(now () -. t0) ~seconds;
     incr index
-  done
+  done;
+  more_setups env acc ~elapsed:infinity ~seconds
 
 let prepare (w : Design.t) ~seed inject =
   let content = contents w ~seed in
-  let r, setups, consistent = setup w content in
+  let r, first_setup = setup w content in
   let spec = spec_table w in
   let coverage = window_coverage r spec in
   let covered =
@@ -602,4 +642,4 @@ let prepare (w : Design.t) ~seed inject =
       inject;
     }
   in
-  (env, setups, consistent && covered, slack)
+  (env, first_setup, covered, slack)
